@@ -87,12 +87,6 @@ ParseError ParseError::At(std::size_t line, std::size_t column,
   return e;
 }
 
-void ReportParseError(const ParseError& e, ParseError* structured,
-                      std::string* legacy) {
-  if (structured != nullptr) *structured = e;
-  if (legacy != nullptr) *legacy = e.ToString();
-}
-
 std::vector<LineToken> TokenizeLine(std::string_view line) {
   if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
   std::vector<LineToken> tokens;

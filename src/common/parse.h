@@ -39,9 +39,8 @@ bool ParseFiniteDouble(std::string_view text, double* out);
 /// Uniform parse-failure report carried by every tnmine reader.
 ///
 /// `line` and `column` are 1-based positions in the input text; 0 means
-/// "not applicable" (e.g. a file-level error). Readers expose this next to
-/// the legacy `std::string* error` overloads so call sites can migrate
-/// incrementally.
+/// "not applicable" (e.g. a file-level error). It is the one error type of
+/// the graph and ARFF readers (DESIGN.md, "Positional errors").
 struct ParseError {
   std::size_t line = 0;
   std::size_t column = 0;
@@ -55,12 +54,6 @@ struct ParseError {
   static ParseError At(std::size_t line, std::size_t column,
                        std::string message);
 };
-
-/// Copies `e` into the two error-reporting styles used across the
-/// codebase: a structured ParseError and/or a legacy string. Either sink
-/// may be null.
-void ReportParseError(const ParseError& e, ParseError* structured,
-                      std::string* legacy);
 
 /// A whitespace-separated token of a line, with the 1-based column where
 /// it starts (for ParseError reporting).

@@ -57,7 +57,6 @@ struct StructuralMiningResult {
   std::vector<std::size_t> partitions_per_repetition;
   /// Frequent patterns found per repetition (before the union).
   std::vector<std::size_t> patterns_per_repetition;
-  bool any_out_of_memory = false;
   /// Combined outcome over every repetition's split + mine (severity
   /// max). Anything but kComplete means the union is a valid partial
   /// result: patterns present are genuinely frequent in the repetitions
@@ -96,7 +95,6 @@ struct TemporalMiningResult {
   partition::TemporalPartition partition;
   partition::TemporalStats stats;
   std::size_t absolute_min_support = 0;
-  bool out_of_memory = false;
   /// Combined partition + mining outcome (severity max).
   common::MiningOutcome outcome = common::MiningOutcome::kComplete;
   std::uint64_t work_ticks = 0;

@@ -133,12 +133,12 @@ bool ReadNative(const std::string& text, LabeledGraph* g,
   });
   if (!scanned) {
     TNMINE_COUNTER_ADD("graph_io/parse_errors", 1);
-    ReportParseError(err, error, nullptr);
+    if (error != nullptr) *error = err;
     return false;
   }
   auto fail_global = [&](const std::string& message) {
     TNMINE_COUNTER_ADD("graph_io/parse_errors", 1);
-    ReportParseError(ParseError::At(0, 0, message), error, nullptr);
+    if (error != nullptr) *error = ParseError::At(0, 0, message);
     return false;
   };
   if (!have_header) return fail_global("missing header");
@@ -148,14 +148,6 @@ bool ReadNative(const std::string& text, LabeledGraph* g,
   if (seen_edges != expect_edges) return fail_global("edge count mismatch");
   TNMINE_COUNTER_ADD("graph_io/records_parsed", seen_vertices + seen_edges);
   return true;
-}
-
-bool ReadNative(const std::string& text, LabeledGraph* g,
-                std::string* error) {
-  ParseError err;
-  if (ReadNative(text, g, &err)) return true;
-  if (error != nullptr) *error = err.ToString();
-  return false;
 }
 
 std::string WriteSubdueFormat(const LabeledGraph& g) {
@@ -236,19 +228,11 @@ bool ReadSubdueFormat(const std::string& text, LabeledGraph* g,
   });
   if (!scanned) {
     TNMINE_COUNTER_ADD("graph_io/parse_errors", 1);
-    ReportParseError(err, error, nullptr);
+    if (error != nullptr) *error = err;
     return false;
   }
   TNMINE_COUNTER_ADD("graph_io/records_parsed", seen_vertices + seen_edges);
   return true;
-}
-
-bool ReadSubdueFormat(const std::string& text, LabeledGraph* g,
-                      std::string* error) {
-  ParseError err;
-  if (ReadSubdueFormat(text, g, &err)) return true;
-  if (error != nullptr) *error = err.ToString();
-  return false;
 }
 
 std::string WriteFsgFormat(const std::vector<LabeledGraph>& transactions) {
@@ -394,7 +378,7 @@ bool ReadFsgFormat(const std::string& text,
   // error.
   if (!scanned) {
     TNMINE_COUNTER_ADD("graph_io/parse_errors", 1);
-    ReportParseError(parser.error(), error, nullptr);
+    if (error != nullptr) *error = parser.error();
     return false;
   }
   parser.Finish();

@@ -24,8 +24,6 @@ std::string WriteNative(const LabeledGraph& g);
 /// size. Returns false and fills `error` (line/column/message) on
 /// malformed input.
 bool ReadNative(const std::string& text, LabeledGraph* g, ParseError* error);
-/// Legacy overload reporting the formatted error as a string.
-bool ReadNative(const std::string& text, LabeledGraph* g, std::string* error);
 
 /// Serializes in the SUBDUE 5.x input style used by Cook & Holder's tool:
 ///   v <1-based-id> <label>
@@ -38,8 +36,6 @@ std::string WriteSubdueFormat(const LabeledGraph& g);
 /// vertices. Same strict-number contract as ReadNative.
 bool ReadSubdueFormat(const std::string& text, LabeledGraph* g,
                       ParseError* error);
-bool ReadSubdueFormat(const std::string& text, LabeledGraph* g,
-                      std::string* error);
 
 /// Serializes a transaction set in the FSG input style used by Kuramochi &
 /// Karypis's tool (one `t` block per graph, `u` lines emitted for edges —
@@ -57,6 +53,9 @@ std::string WriteFsgFormat(const std::vector<LabeledGraph>& transactions);
 bool ReadFsgFormat(const std::string& text,
                    std::vector<LabeledGraph>* transactions,
                    ParseError* error);
+/// The same, with the error formatted by ParseError::ToString(). The one
+/// string overload left among the readers: perfbench's kk_candidates
+/// workload calls it, and perfbench/ changes only with the benchmark.
 bool ReadFsgFormat(const std::string& text,
                    std::vector<LabeledGraph>* transactions,
                    std::string* error);

@@ -243,14 +243,6 @@ bool ReadArff(const std::string& text, AttributeTable* table,
   return true;
 }
 
-bool ReadArff(const std::string& text, AttributeTable* table,
-              std::string* error) {
-  ParseError err;
-  if (ReadArff(text, table, &err)) return true;
-  if (error != nullptr) *error = err.ToString();
-  return false;
-}
-
 bool SaveArff(const AttributeTable& table, const std::string& relation_name,
               const std::string& path, std::string* error) {
   if (!graph::WriteTextFile(path, WriteArff(table, relation_name))) {
@@ -267,7 +259,10 @@ bool LoadArff(const std::string& path, AttributeTable* table,
     if (error != nullptr) *error = "cannot read " + path;
     return false;
   }
-  return ReadArff(text, table, error);
+  ParseError parse_error;
+  if (ReadArff(text, table, &parse_error)) return true;
+  if (error != nullptr) *error = parse_error.ToString();
+  return false;
 }
 
 }  // namespace tnmine::ml

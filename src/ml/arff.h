@@ -23,11 +23,9 @@ std::string WriteArff(const AttributeTable& table,
 /// Returns false and fills `error` (line/message) on malformed input.
 bool ReadArff(const std::string& text, AttributeTable* table,
               ParseError* error);
-/// Legacy overload reporting the formatted error as a string.
-bool ReadArff(const std::string& text, AttributeTable* table,
-              std::string* error);
 
-/// Convenience wrappers over files.
+/// Convenience wrappers over files. LoadArff reports a parse failure as
+/// ParseError::ToString().
 bool SaveArff(const AttributeTable& table, const std::string& relation_name,
               const std::string& path, std::string* error);
 bool LoadArff(const std::string& path, AttributeTable* table,

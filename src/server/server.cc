@@ -3,6 +3,7 @@
 #include <arpa/inet.h>
 #include <fcntl.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
@@ -209,6 +210,11 @@ JsonValue RenderPatterns(
 Server::Server(ServerOptions options)
     : options_(std::move(options)), cache_(options_.cache_bytes) {}
 
+telemetry::Counter& Server::ServerCounter(std::string_view name) {
+  return telemetry::Registry::Global().GetCounter("server/" +
+                                                  std::string(name));
+}
+
 Server::~Server() { Stop(); }
 
 bool Server::Start(std::string* error) {
@@ -354,8 +360,7 @@ bool Server::LoadSnapshot(const std::string& path, std::string* error) {
     snapshot_ = std::move(snap);
   }
   cache_.Clear();
-  snapshots_loaded_.fetch_add(1, std::memory_order_relaxed);
-  TNMINE_COUNTER_ADD("server/snapshots_loaded", 1);
+  snapshots_loaded_.Add(1);
   return true;
 }
 
@@ -389,8 +394,7 @@ bool Server::LoadShards(const std::string& dir, std::string* error) {
     set->version = next_shard_version_++;
     shard_set_ = std::move(set);
   }
-  shard_sets_loaded_.fetch_add(1, std::memory_order_relaxed);
-  TNMINE_COUNTER_ADD("server/shard_sets_loaded", 1);
+  shard_sets_loaded_.Add(1);
   return true;
 }
 
@@ -434,8 +438,7 @@ void Server::AcceptLoop() {
     if (fd < 0) {
       if (errno == EINTR || errno == ECONNABORTED || errno == EAGAIN ||
           errno == EWOULDBLOCK) {
-        accept_failures_.fetch_add(1, std::memory_order_relaxed);
-        TNMINE_COUNTER_ADD("server/accept_failures", 1);
+        accept_failures_.Add(1);
         continue;
       }
       if (stop_.load()) return;
@@ -447,8 +450,7 @@ void Server::AcceptLoop() {
       // keep serving — the chaos harness asserts the *next* connect
       // succeeds.
       ::close(fd);
-      accept_failures_.fetch_add(1, std::memory_order_relaxed);
-      TNMINE_COUNTER_ADD("server/accept_failures", 1);
+      accept_failures_.Add(1);
       continue;
     }
     if (stop_.load()) {
@@ -459,9 +461,14 @@ void Server::AcceptLoop() {
     // loop) can never park a connection thread in a bare send/recv.
     const int fd_flags = ::fcntl(fd, F_GETFL, 0);
     if (fd_flags >= 0) ::fcntl(fd, F_SETFL, fd_flags | O_NONBLOCK);
-    conn_accepted_.fetch_add(1, std::memory_order_relaxed);
+    if (!bound_address_.is_unix) {
+      // A frame goes out as two sends (header, payload); with Nagle on,
+      // the second waits for the peer's delayed ACK (~40 ms per reply).
+      const int one = 1;
+      ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+    }
+    conn_accepted_.Add(1);
     conn_open_.fetch_add(1, std::memory_order_relaxed);
-    TNMINE_COUNTER_ADD("server/conn_accepted", 1);
     std::lock_guard<std::mutex> lock(conn_mu_);
     const std::uint64_t id = next_conn_id_++;
     Connection& conn = conns_[id];
@@ -501,25 +508,21 @@ void Server::HandleConnection(std::uint64_t conn_id, int fd) {
     if (status == FrameReadStatus::kIdleTimeout) {
       // The per-connection idle deadline IS the reaper: a parked
       // connection reaps itself instead of holding a slot forever.
-      conn_idle_reaped_.fetch_add(1, std::memory_order_relaxed);
-      TNMINE_COUNTER_ADD("server/conn_idle_reaped", 1);
+      conn_idle_reaped_.Add(1);
       break;
     }
     if (status == FrameReadStatus::kIoTimeout) {
-      conn_io_timeout_.fetch_add(1, std::memory_order_relaxed);
-      TNMINE_COUNTER_ADD("server/conn_io_timeout", 1);
+      conn_io_timeout_.Add(1);
       break;
     }
     if (status == FrameReadStatus::kOversized) {
       // The length prefix is garbage or hostile; there is no way to
       // resync the framing, so the only safe answer is a drop.
-      conn_bad_frame_.fetch_add(1, std::memory_order_relaxed);
-      TNMINE_COUNTER_ADD("server/conn_bad_frame", 1);
+      conn_bad_frame_.Add(1);
       break;
     }
     if (status == FrameReadStatus::kTornFrame) {
-      conn_torn_.fetch_add(1, std::memory_order_relaxed);
-      TNMINE_COUNTER_ADD("server/conn_torn", 1);
+      conn_torn_.Add(1);
       break;
     }
     if (status != FrameReadStatus::kFrame) break;  // kEof
@@ -528,8 +531,7 @@ void Server::HandleConnection(std::uint64_t conn_id, int fd) {
     JsonValue response;
     if (!JsonValue::Parse(payload, &request, &parse_error) ||
         !request.is_object()) {
-      conn_bad_frame_.fetch_add(1, std::memory_order_relaxed);
-      TNMINE_COUNTER_ADD("server/conn_bad_frame", 1);
+      conn_bad_frame_.Add(1);
       response = ErrorResponse("", "bad_request",
                                "request is not a JSON object: " +
                                    parse_error);
@@ -542,8 +544,7 @@ void Server::HandleConnection(std::uint64_t conn_id, int fd) {
     if (!WriteFrameDeadline(fd, response.Serialize(),
                             options_.io_timeout_ms, &write_timed_out)) {
       if (write_timed_out) {
-        conn_io_timeout_.fetch_add(1, std::memory_order_relaxed);
-        TNMINE_COUNTER_ADD("server/conn_io_timeout", 1);
+        conn_io_timeout_.Add(1);
       }
       break;
     }
@@ -559,9 +560,8 @@ void Server::HandleConnection(std::uint64_t conn_id, int fd) {
     }
   }
   ::close(fd);
-  conn_closed_.fetch_add(1, std::memory_order_relaxed);
+  conn_closed_.Add(1);
   conn_open_.fetch_sub(1, std::memory_order_relaxed);
-  TNMINE_COUNTER_ADD("server/conn_closed", 1);
   std::lock_guard<std::mutex> lock(conn_mu_);
   done_conns_.push_back(conn_id);
 }
@@ -578,8 +578,7 @@ JsonValue Server::ErrorResponse(const std::string& op,
 }
 
 JsonValue Server::HandleRequest(const JsonValue& request, int fd) {
-  requests_total_.fetch_add(1, std::memory_order_relaxed);
-  TNMINE_COUNTER_ADD("server/requests_total", 1);
+  requests_total_.Add(1);
   const auto started = std::chrono::steady_clock::now();
   const std::string op = request.Get("op").AsString();
   JsonValue response;
@@ -615,10 +614,9 @@ JsonValue Server::HandleRequest(const JsonValue& request, int fd) {
     response.Set("id", request.Get("id"));
   }
   if (response.Get("ok").AsBool()) {
-    requests_ok_.fetch_add(1, std::memory_order_relaxed);
+    requests_ok_.Add(1);
   } else {
-    requests_error_.fetch_add(1, std::memory_order_relaxed);
-    TNMINE_COUNTER_ADD("server/requests_error", 1);
+    requests_error_.Add(1);
   }
   TNMINE_HISTOGRAM_NANOS(
       "server/request_nanos",
@@ -632,35 +630,23 @@ JsonValue Server::HandleStats() {
   JsonValue result = JsonValue::MakeObject();
 
   JsonValue server = JsonValue::MakeObject();
-  server.Set("requests_total",
-             requests_total_.load(std::memory_order_relaxed));
-  server.Set("requests_ok", requests_ok_.load(std::memory_order_relaxed));
-  server.Set("requests_error",
-             requests_error_.load(std::memory_order_relaxed));
-  server.Set("requests_cancelled",
-             requests_cancelled_.load(std::memory_order_relaxed));
-  server.Set("admission_rejected",
-             admission_rejected_.load(std::memory_order_relaxed));
-  server.Set("snapshots_loaded",
-             snapshots_loaded_.load(std::memory_order_relaxed));
-  server.Set("shard_sets_loaded",
-             shard_sets_loaded_.load(std::memory_order_relaxed));
+  server.Set("requests_total", requests_total_.Value());
+  server.Set("requests_ok", requests_ok_.Value());
+  server.Set("requests_error", requests_error_.Value());
+  server.Set("requests_cancelled", requests_cancelled_.Value());
+  server.Set("admission_rejected", admission_rejected_.Value());
+  server.Set("snapshots_loaded", snapshots_loaded_.Value());
+  server.Set("shard_sets_loaded", shard_sets_loaded_.Value());
   server.Set("inflight", inflight_.load(std::memory_order_relaxed));
   server.Set("max_inflight", options_.max_inflight);
   server.Set("conn_open", conn_open_.load(std::memory_order_relaxed));
-  server.Set("conn_accepted",
-             conn_accepted_.load(std::memory_order_relaxed));
-  server.Set("conn_closed",
-             conn_closed_.load(std::memory_order_relaxed));
-  server.Set("conn_idle_reaped",
-             conn_idle_reaped_.load(std::memory_order_relaxed));
-  server.Set("conn_io_timeout",
-             conn_io_timeout_.load(std::memory_order_relaxed));
-  server.Set("conn_bad_frame",
-             conn_bad_frame_.load(std::memory_order_relaxed));
-  server.Set("conn_torn", conn_torn_.load(std::memory_order_relaxed));
-  server.Set("accept_failures",
-             accept_failures_.load(std::memory_order_relaxed));
+  server.Set("conn_accepted", conn_accepted_.Value());
+  server.Set("conn_closed", conn_closed_.Value());
+  server.Set("conn_idle_reaped", conn_idle_reaped_.Value());
+  server.Set("conn_io_timeout", conn_io_timeout_.Value());
+  server.Set("conn_bad_frame", conn_bad_frame_.Value());
+  server.Set("conn_torn", conn_torn_.Value());
+  server.Set("accept_failures", accept_failures_.Value());
   server.Set("accept_backlog", options_.accept_backlog);
   server.Set("io_timeout_ms", options_.io_timeout_ms);
   server.Set("idle_timeout_ms", options_.idle_timeout_ms);
@@ -851,8 +837,7 @@ JsonValue Server::HandleMining(const std::string& op,
   std::string outcome_label = "complete";
   if (!cached) {
     if (!TryAdmit()) {
-      admission_rejected_.fetch_add(1, std::memory_order_relaxed);
-      TNMINE_COUNTER_ADD("server/admission_rejected", 1);
+      admission_rejected_.Add(1);
       return ErrorResponse(op, "overloaded",
                            "too many mining requests in flight");
     }
@@ -874,8 +859,7 @@ JsonValue Server::HandleMining(const std::string& op,
     UnregisterWatch(fd);
     Release();
     if (outcome_label == "cancelled") {
-      requests_cancelled_.fetch_add(1, std::memory_order_relaxed);
-      TNMINE_COUNTER_ADD("server/requests_cancelled", 1);
+      requests_cancelled_.Add(1);
     }
     // Only complete results are cached: deadline/memory truncation
     // depends on wall clock and allocator state, so a truncated payload

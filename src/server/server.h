@@ -9,10 +9,12 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
 #include "common/budget.h"
+#include "common/telemetry.h"
 #include "common/thread_pool.h"
 #include "data/dataset.h"
 #include "data/od_graph.h"
@@ -137,21 +139,31 @@ class Server {
   std::shared_ptr<const ShardSet> shard_set() const;
   const ResultCache& cache() const { return cache_; }
 
-  std::uint64_t requests_total() const { return requests_total_; }
+  /// Event counters, one store (DESIGN.md §14): each is the telemetry
+  /// registry's "server/<name>", so `stats`, the embedded RunReport and
+  /// these accessors read the same value. The registry is process-wide:
+  /// servers in one process share these counts.
+  std::uint64_t requests_total() const { return requests_total_.Value(); }
   std::uint64_t inflight() const { return inflight_; }
-  std::uint64_t requests_cancelled() const { return requests_cancelled_; }
-  std::uint64_t admission_rejected() const { return admission_rejected_; }
+  std::uint64_t requests_cancelled() const {
+    return requests_cancelled_.Value();
+  }
+  std::uint64_t admission_rejected() const {
+    return admission_rejected_.Value();
+  }
 
   /// Connection-lifecycle counters (DESIGN.md §15 failure taxonomy).
   /// conn_open is a gauge: accepted minus closed, and a chaos run must
   /// always drain it back to zero — a stuck slot is a leak.
   std::uint64_t conn_open() const { return conn_open_; }
-  std::uint64_t conn_accepted() const { return conn_accepted_; }
-  std::uint64_t conn_idle_reaped() const { return conn_idle_reaped_; }
-  std::uint64_t conn_io_timeout() const { return conn_io_timeout_; }
-  std::uint64_t conn_bad_frame() const { return conn_bad_frame_; }
-  std::uint64_t conn_torn() const { return conn_torn_; }
-  std::uint64_t accept_failures() const { return accept_failures_; }
+  std::uint64_t conn_accepted() const { return conn_accepted_.Value(); }
+  std::uint64_t conn_idle_reaped() const {
+    return conn_idle_reaped_.Value();
+  }
+  std::uint64_t conn_io_timeout() const { return conn_io_timeout_.Value(); }
+  std::uint64_t conn_bad_frame() const { return conn_bad_frame_.Value(); }
+  std::uint64_t conn_torn() const { return conn_torn_.Value(); }
+  std::uint64_t accept_failures() const { return accept_failures_.Value(); }
 
  private:
   struct WatchedRequest {
@@ -208,6 +220,9 @@ class Server {
   bool TryAdmit();
   void Release();
 
+  /// The registry counter "server/<name>".
+  static telemetry::Counter& ServerCounter(std::string_view name);
+
   static JsonValue ErrorResponse(const std::string& op,
                                  const std::string& code,
                                  const std::string& message);
@@ -240,22 +255,30 @@ class Server {
   std::atomic<bool> signal_shutdown_{false};
 
   ResultCache cache_;
+  // Behaviour-driving gauges: admission control reads inflight_, and a
+  // drained server must read conn_open_ == 0.
   std::atomic<std::size_t> inflight_{0};
-  std::atomic<std::uint64_t> requests_total_{0};
-  std::atomic<std::uint64_t> requests_ok_{0};
-  std::atomic<std::uint64_t> requests_error_{0};
-  std::atomic<std::uint64_t> requests_cancelled_{0};
-  std::atomic<std::uint64_t> admission_rejected_{0};
-  std::atomic<std::uint64_t> snapshots_loaded_{0};
-  std::atomic<std::uint64_t> shard_sets_loaded_{0};
   std::atomic<std::uint64_t> conn_open_{0};
-  std::atomic<std::uint64_t> conn_accepted_{0};
-  std::atomic<std::uint64_t> conn_closed_{0};
-  std::atomic<std::uint64_t> conn_idle_reaped_{0};
-  std::atomic<std::uint64_t> conn_io_timeout_{0};
-  std::atomic<std::uint64_t> conn_bad_frame_{0};
-  std::atomic<std::uint64_t> conn_torn_{0};
-  std::atomic<std::uint64_t> accept_failures_{0};
+  // Event counters, looked up once at construction. They bypass the
+  // TNMINE_COUNTER_ADD macros, so they count under -DTNMINE_TELEMETRY=OFF
+  // too.
+  telemetry::Counter& requests_total_ = ServerCounter("requests_total");
+  telemetry::Counter& requests_ok_ = ServerCounter("requests_ok");
+  telemetry::Counter& requests_error_ = ServerCounter("requests_error");
+  telemetry::Counter& requests_cancelled_ =
+      ServerCounter("requests_cancelled");
+  telemetry::Counter& admission_rejected_ =
+      ServerCounter("admission_rejected");
+  telemetry::Counter& snapshots_loaded_ = ServerCounter("snapshots_loaded");
+  telemetry::Counter& shard_sets_loaded_ =
+      ServerCounter("shard_sets_loaded");
+  telemetry::Counter& conn_accepted_ = ServerCounter("conn_accepted");
+  telemetry::Counter& conn_closed_ = ServerCounter("conn_closed");
+  telemetry::Counter& conn_idle_reaped_ = ServerCounter("conn_idle_reaped");
+  telemetry::Counter& conn_io_timeout_ = ServerCounter("conn_io_timeout");
+  telemetry::Counter& conn_bad_frame_ = ServerCounter("conn_bad_frame");
+  telemetry::Counter& conn_torn_ = ServerCounter("conn_torn");
+  telemetry::Counter& accept_failures_ = ServerCounter("accept_failures");
   std::chrono::steady_clock::time_point start_time_;
 };
 

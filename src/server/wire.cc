@@ -2,6 +2,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
@@ -151,6 +152,10 @@ int ConnectTo(const ListenAddress& addr, std::string* error) {
     if (fd >= 0) ::close(fd);
     return -1;
   }
+  // Frames are written as header + payload sends; without NODELAY the
+  // payload waits on the server's delayed ACK.
+  const int one = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
   return fd;
 }
 

@@ -33,8 +33,9 @@ TEST(ArffTest, WriteContainsHeaderAndData) {
 TEST(ArffTest, RoundTrip) {
   const AttributeTable original = Sample();
   AttributeTable back;
-  std::string error;
-  ASSERT_TRUE(ReadArff(WriteArff(original, "r"), &back, &error)) << error;
+  ParseError error;
+  ASSERT_TRUE(ReadArff(WriteArff(original, "r"), &back, &error))
+      << error.ToString();
   ASSERT_EQ(back.num_rows(), original.num_rows());
   ASSERT_EQ(back.num_attributes(), original.num_attributes());
   for (int a = 0; a < original.num_attributes(); ++a) {
@@ -54,8 +55,8 @@ TEST(ArffTest, SkipsCommentsAndBlankLines) {
       "% a comment\n@relation r\n\n@attribute x numeric\n@data\n% mid\n"
       "1.5\n\n2.5\n";
   AttributeTable table;
-  std::string error;
-  ASSERT_TRUE(ReadArff(text, &table, &error)) << error;
+  ParseError error;
+  ASSERT_TRUE(ReadArff(text, &table, &error)) << error.ToString();
   EXPECT_EQ(table.num_rows(), 2u);
   EXPECT_DOUBLE_EQ(table.value(1, 0), 2.5);
 }
@@ -64,16 +65,16 @@ TEST(ArffTest, RejectsUnknownNominalValue) {
   const std::string text =
       "@relation r\n@attribute m {a,b}\n@data\nc\n";
   AttributeTable table;
-  std::string error;
+  ParseError error;
   EXPECT_FALSE(ReadArff(text, &table, &error));
-  EXPECT_NE(error.find("unknown nominal"), std::string::npos);
+  EXPECT_NE(error.message.find("unknown nominal"), std::string::npos);
 }
 
 TEST(ArffTest, RejectsBadNumeric) {
   const std::string text =
       "@relation r\n@attribute x numeric\n@data\nnot-a-number\n";
   AttributeTable table;
-  std::string error;
+  ParseError error;
   EXPECT_FALSE(ReadArff(text, &table, &error));
 }
 
@@ -81,14 +82,14 @@ TEST(ArffTest, RejectsWrongCellCount) {
   const std::string text =
       "@relation r\n@attribute x numeric\n@attribute y numeric\n@data\n1\n";
   AttributeTable table;
-  std::string error;
+  ParseError error;
   EXPECT_FALSE(ReadArff(text, &table, &error));
-  EXPECT_NE(error.find("cell count"), std::string::npos);
+  EXPECT_NE(error.message.find("cell count"), std::string::npos);
 }
 
 TEST(ArffTest, RejectsMissingData) {
   AttributeTable table;
-  std::string error;
+  ParseError error;
   EXPECT_FALSE(ReadArff("@relation r\n@attribute x numeric\n", &table,
                         &error));
 }

@@ -125,7 +125,7 @@ TEST(FsgTest, SupportsAreExact) {
   for (const auto& p : r.patterns) {
     std::vector<std::uint32_t> expect_tids;
     for (std::uint32_t tid = 0; tid < txns.size(); ++tid) {
-      if (iso::ContainsSubgraph(p.graph, txns[tid])) {
+      if (iso::SubgraphMatcher(p.graph).Contains(graph::GraphView(txns[tid]))) {
         expect_tids.push_back(tid);
       }
     }

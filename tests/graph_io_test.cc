@@ -22,8 +22,8 @@ TEST(GraphIoTest, NativeRoundTrip) {
   const LabeledGraph g = SampleGraph();
   const std::string text = WriteNative(g);
   LabeledGraph back;
-  std::string error;
-  ASSERT_TRUE(ReadNative(text, &back, &error)) << error;
+  ParseError error;
+  ASSERT_TRUE(ReadNative(text, &back, &error)) << error.ToString();
   EXPECT_TRUE(g.StructurallyEqual(back));
 }
 
@@ -31,36 +31,36 @@ TEST(GraphIoTest, NativeSkipsTombstones) {
   LabeledGraph g = SampleGraph();
   g.RemoveEdge(1);
   LabeledGraph back;
-  std::string error;
-  ASSERT_TRUE(ReadNative(WriteNative(g), &back, &error)) << error;
+  ParseError error;
+  ASSERT_TRUE(ReadNative(WriteNative(g), &back, &error)) << error.ToString();
   EXPECT_EQ(back.num_edges(), 2u);
   EXPECT_TRUE(back.IsDense());
 }
 
 TEST(GraphIoTest, RejectsCorruptHeader) {
   LabeledGraph g;
-  std::string error;
+  ParseError error;
   EXPECT_FALSE(ReadNative("g 2\nv 0 1\n", &g, &error));
-  EXPECT_FALSE(error.empty());
+  EXPECT_FALSE(error.message.empty());
 }
 
 TEST(GraphIoTest, RejectsDanglingEdge) {
   LabeledGraph g;
-  std::string error;
+  ParseError error;
   EXPECT_FALSE(ReadNative("g 1 1\nv 0 1\ne 0 5 2\n", &g, &error));
-  EXPECT_NE(error.find("out of range"), std::string::npos);
+  EXPECT_NE(error.message.find("out of range"), std::string::npos);
 }
 
 TEST(GraphIoTest, RejectsCountMismatch) {
   LabeledGraph g;
-  std::string error;
+  ParseError error;
   EXPECT_FALSE(ReadNative("g 2 1\nv 0 1\nv 1 1\n", &g, &error));
-  EXPECT_NE(error.find("edge count"), std::string::npos);
+  EXPECT_NE(error.message.find("edge count"), std::string::npos);
 }
 
 TEST(GraphIoTest, RejectsUnknownDirective) {
   LabeledGraph g;
-  std::string error;
+  ParseError error;
   EXPECT_FALSE(ReadNative("g 0 0\nz nonsense\n", &g, &error));
 }
 
@@ -69,9 +69,9 @@ TEST(GraphIoTest, RejectsNegativeCounts) {
   // extraction into a multi-exabyte Reserve. Negative counts and ids are
   // now parse errors.
   LabeledGraph g;
-  std::string error;
+  ParseError error;
   EXPECT_FALSE(ReadNative("g -1 0\n", &g, &error));
-  EXPECT_NE(error.find("count"), std::string::npos);
+  EXPECT_NE(error.message.find("count"), std::string::npos);
   EXPECT_FALSE(ReadNative("g 0 -3\n", &g, &error));
   EXPECT_FALSE(ReadNative("g 1 0\nv -1 5\n", &g, &error));
   EXPECT_FALSE(ReadNative("g 2 1\nv 0 1\nv 1 1\ne -1 0 2\n", &g, &error));
@@ -79,7 +79,7 @@ TEST(GraphIoTest, RejectsNegativeCounts) {
 
 TEST(GraphIoTest, RejectsOverflowingCounts) {
   LabeledGraph g;
-  std::string error;
+  ParseError error;
   // Larger than uint32 / uint64: must fail cleanly, not wrap.
   EXPECT_FALSE(ReadNative("g 99999999999999999999 0\n", &g, &error));
   EXPECT_FALSE(ReadNative("g 8589934592 0\n", &g, &error));  // 2^33
@@ -89,9 +89,9 @@ TEST(GraphIoTest, HugeDeclaredCountDoesNotOverReserve) {
   // A header declaring ~4e9 vertices with no body must fail on the count
   // mismatch without first attempting a ~100 GB allocation.
   LabeledGraph g;
-  std::string error;
+  ParseError error;
   EXPECT_FALSE(ReadNative("g 4000000000 0\n", &g, &error));
-  EXPECT_NE(error.find("mismatch"), std::string::npos);
+  EXPECT_NE(error.message.find("mismatch"), std::string::npos);
 }
 
 TEST(GraphIoTest, ReportsLineAndColumn) {
@@ -105,7 +105,7 @@ TEST(GraphIoTest, ReportsLineAndColumn) {
 
 TEST(GraphIoTest, RejectsTrailingTokens) {
   LabeledGraph g;
-  std::string error;
+  ParseError error;
   EXPECT_FALSE(ReadNative("g 1 0 extra\nv 0 1\n", &g, &error));
   EXPECT_FALSE(ReadNative("g 1 0\nv 0 1 extra\n", &g, &error));
 }
@@ -120,9 +120,9 @@ TEST(GraphIoTest, SubdueFormatUsesOneBasedIds) {
 TEST(GraphIoTest, SubdueFormatRoundTrip) {
   const LabeledGraph g = SampleGraph();
   LabeledGraph back;
-  std::string error;
+  ParseError error;
   ASSERT_TRUE(ReadSubdueFormat(WriteSubdueFormat(g), &back, &error))
-      << error;
+      << error.ToString();
   EXPECT_TRUE(g.StructurallyEqual(back));
   // And the re-serialization is byte-identical.
   EXPECT_EQ(WriteSubdueFormat(back), WriteSubdueFormat(g));
@@ -130,7 +130,7 @@ TEST(GraphIoTest, SubdueFormatRoundTrip) {
 
 TEST(GraphIoTest, SubdueFormatRejectsBadIds) {
   LabeledGraph g;
-  std::string error;
+  ParseError error;
   EXPECT_FALSE(ReadSubdueFormat("v 0 3\n", &g, &error));   // 0-based id
   EXPECT_FALSE(ReadSubdueFormat("v 2 3\n", &g, &error));   // sparse id
   EXPECT_FALSE(ReadSubdueFormat("v -1 3\n", &g, &error));  // negative id
@@ -141,10 +141,10 @@ TEST(GraphIoTest, SubdueFormatRejectsBadIds) {
 
 TEST(GraphIoTest, SubdueFormatSkipsComments) {
   LabeledGraph g;
-  std::string error;
+  ParseError error;
   ASSERT_TRUE(ReadSubdueFormat("% SUBDUE comment\nv 1 3\n# hash too\n",
                                &g, &error))
-      << error;
+      << error.ToString();
   EXPECT_EQ(g.num_vertices(), 1u);
 }
 

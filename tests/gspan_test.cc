@@ -109,7 +109,7 @@ TEST(GspanTest, SupportsAreExactAgainstVf2) {
   for (const auto& p : r.patterns) {
     std::size_t expect = 0;
     for (const auto& t : txns) {
-      expect += iso::ContainsSubgraph(p.graph, t);
+      expect += iso::SubgraphMatcher(p.graph).Contains(graph::GraphView(t));
     }
     EXPECT_EQ(p.support, expect) << p.graph.DebugString();
     EXPECT_GE(p.support, options.min_support);

@@ -60,7 +60,8 @@ TEST(IntegrationTest, StructuralPipelineInvariants) {
     EXPECT_TRUE(graph::IsWeaklyConnected(p->graph));
     std::size_t recount = 0;
     for (const auto& part : parts) {
-      recount += iso::ContainsSubgraph(p->graph, part);
+      recount +=
+          iso::SubgraphMatcher(p->graph).Contains(graph::GraphView(part));
     }
     EXPECT_GE(recount, options.min_support) << p->code;
   }
@@ -85,7 +86,8 @@ TEST(IntegrationTest, TemporalPipelineInvariants) {
   for (const auto* p : result.registry.SortedBySupport()) {
     for (std::uint32_t tid : p->tids) {
       ASSERT_LT(tid, txns.size());
-      EXPECT_TRUE(iso::ContainsSubgraph(p->graph, txns[tid]));
+      EXPECT_TRUE(iso::SubgraphMatcher(p->graph).Contains(
+          graph::GraphView(txns[tid])));
     }
   }
   // Episode mining and temporal mining see the same dataset: every

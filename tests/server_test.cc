@@ -15,13 +15,16 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <memory>
 #include <string>
 #include <thread>
 #include <utility>
+#include <vector>
 
 #include "common/failpoint.h"
+#include "common/telemetry.h"
 #include "data/generator.h"
 #include "server/json.h"
 #include "server/wire.h"
@@ -31,6 +34,10 @@ namespace {
 
 class ServerTest : public ::testing::Test {
  protected:
+  // Server event counters live in the process-wide telemetry registry;
+  // zero them so each test's exact counts cover its own servers only.
+  void SetUp() override { telemetry::Registry::Global().ResetAll(); }
+
   static void SetUpTestSuite() {
     data_path_ = new std::string(::testing::TempDir() +
                                  "/server_test_data.csv");
@@ -102,6 +109,77 @@ TEST_F(ServerTest, PingStatsAndUnknownOp) {
   ASSERT_TRUE(client.Call(Request("no_such_op"), &response, &error));
   EXPECT_FALSE(response.Get("ok").AsBool());
   EXPECT_EQ(response.Get("code").AsString(), "bad_request");
+}
+
+TEST_F(ServerTest, StatsCountersAreTheRunReportCounters) {
+  {
+    // Overloaded: a zero-capacity server rejects its one miss.
+    ServerOptions options = BaseOptions();
+    options.max_inflight = 0;
+    const auto full = StartServer(std::move(options));
+    EXPECT_EQ(Call(*full, Request("structural")).Get("code").AsString(),
+              "overloaded");
+  }  // stopped: its connection has closed
+
+  const auto server = StartServer(BaseOptions());
+  BlockingClient client;
+  std::string error;
+  ASSERT_TRUE(client.Connect(server->address(), &error)) << error;
+  JsonValue response;
+  ASSERT_TRUE(client.Call(Request("ping"), &response, &error)) << error;
+  ASSERT_TRUE(client.Call(Request("stats"), &response, &error)) << error;
+  const JsonValue mine = Request("structural", {{"top", JsonValue(1)}});
+  ASSERT_TRUE(client.Call(mine, &response, &error)) << error;
+  EXPECT_FALSE(response.Get("cached").AsBool(true));
+  ASSERT_TRUE(client.Call(mine, &response, &error)) << error;
+  EXPECT_TRUE(response.Get("cached").AsBool());
+  ASSERT_TRUE(client.Call(Request("no_such_op"), &response, &error));
+  EXPECT_EQ(response.Get("code").AsString(), "bad_request");
+
+  ASSERT_TRUE(client.Call(Request("stats"), &response, &error)) << error;
+  const JsonValue& stats = response.Get("result").Get("server");
+  const JsonValue& counters =
+      response.Get("result").Get("report").Get("counters");
+  // Counts span both servers: the registry is process-wide.
+  EXPECT_EQ(stats.Get("requests_total").AsInt(), 7);
+  EXPECT_EQ(stats.Get("requests_ok").AsInt(), 4);  // this stats: not yet
+  EXPECT_EQ(stats.Get("requests_error").AsInt(), 2);
+  EXPECT_EQ(stats.Get("admission_rejected").AsInt(), 1);
+  EXPECT_EQ(stats.Get("conn_accepted").AsInt(), 2);
+  EXPECT_EQ(stats.Get("conn_closed").AsInt(), 1);
+
+  // One store: each of the 14 server counters in `stats` is the registry
+  // counter the RunReport renders (the rest are gauges and settings).
+  std::size_t matched = 0;
+  for (const auto& [name, value] : stats.object()) {
+    const JsonValue& counter = counters.Get("server/" + name);
+    if (counter.is_null()) continue;
+    ++matched;
+    EXPECT_EQ(counter.AsInt(), value.AsInt()) << name;
+  }
+  EXPECT_EQ(matched, 14u);
+}
+
+TEST_F(ServerTest, SequentialTcpRequestsDoNotStall) {
+  // A frame is written as two sends (header, payload). Without
+  // TCP_NODELAY on both ends, Nagle holds the payload until the peer's
+  // delayed ACK of the header: ~40 ms per request on Linux loopback.
+  const auto server = StartServer(BaseOptions());
+  ASSERT_EQ(server->address().rfind("tcp:", 0), 0u);
+  BlockingClient client;
+  std::string error;
+  ASSERT_TRUE(client.Connect(server->address(), &error)) << error;
+  std::vector<double> ms;
+  for (int i = 0; i < 21; ++i) {
+    const auto start = std::chrono::steady_clock::now();
+    JsonValue response;
+    ASSERT_TRUE(client.Call(Request("ping"), &response, &error)) << error;
+    ms.push_back(std::chrono::duration<double, std::milli>(
+                     std::chrono::steady_clock::now() - start)
+                     .count());
+  }
+  std::sort(ms.begin(), ms.end());
+  EXPECT_LT(ms[ms.size() / 2], 20.0) << "median ping round trip, ms";
 }
 
 TEST_F(ServerTest, CachedResponseIsByteIdenticalToFresh) {
