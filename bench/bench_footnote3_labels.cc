@@ -57,7 +57,9 @@ int main() {
     std::printf("%-9d %-9zu %-12zu %-14llu %-10s %-8.2f\n", vlabels, f1,
                 candidates,
                 static_cast<unsigned long long>(result.peak_candidate_bytes),
-                result.aborted_out_of_memory ? "yes" : "no",
+                result.outcome == common::MiningOutcome::kMemoryBudgetExceeded
+                    ? "yes"
+                    : "no",
                 sw.ElapsedSeconds());
   }
   std::printf(

@@ -75,10 +75,10 @@ int main() {
                   100 * support_fraction, miner.min_support);
       bench::Row("  runtime seconds", sw.ElapsedSeconds());
       bench::Row("  frequent patterns", result.patterns.size());
+      const bool oom =
+          result.outcome == common::MiningOutcome::kMemoryBudgetExceeded;
       bench::Row("  aborted out of memory",
-                 std::string(result.aborted_out_of_memory
-                                 ? "yes (as the paper reports)"
-                                 : "no"));
+                 std::string(oom ? "yes (as the paper reports)" : "no"));
       bench::Row("  levels completed before abort",
                  result.levels_completed);
       bench::Row("  peak candidate bytes", result.peak_candidate_bytes);

@@ -4,7 +4,7 @@
 #include <array>
 #include <map>
 #include <memory>
-#include <set>
+#include <span>
 #include <string>
 #include <tuple>
 #include <unordered_map>
@@ -32,17 +32,9 @@ using graph::LabeledGraph;
 using graph::VertexId;
 using pattern::FrequentPattern;
 using pattern::TidSet;
+using EdgeTypeKey = graph::GraphView::EdgeTypeKey;
 
 namespace {
-
-/// A frequent-edge type: the building block for extensions.
-struct EdgeType {
-  Label src_label;
-  Label dst_label;
-  Label edge_label;
-
-  auto operator<=>(const EdgeType&) const = default;
-};
 
 /// Per-pattern memory footprint used for the OOM budget. The TID set
 /// reports its exact heap footprint (DESIGN.md §12); the rest stays a
@@ -52,11 +44,19 @@ std::uint64_t EstimateBytes(const FrequentPattern& p) {
          p.code.size() + p.tids.MemoryBytes();
 }
 
+/// Edge type of `e` in `g`: LabeledGraph for patterns, GraphView for
+/// transactions.
+template <typename G>
+EdgeTypeKey TypeOf(const G& g, const Edge& e) {
+  return {g.vertex_label(e.src), g.vertex_label(e.dst), e.label,
+          e.src == e.dst};
+}
+
 /// Builds the 1-edge pattern graph for an edge type.
-LabeledGraph OneEdgePattern(const EdgeType& t, bool self_loop) {
+LabeledGraph OneEdgePattern(const EdgeTypeKey& t) {
   LabeledGraph g;
   const VertexId a = g.AddVertex(t.src_label);
-  if (self_loop) {
+  if (t.self_loop) {
     g.AddEdge(a, a, t.edge_label);
   } else {
     const VertexId b = g.AddVertex(t.dst_label);
@@ -80,28 +80,39 @@ std::uint32_t RoleOf(const Edge& e, VertexId v) {
   return e.src == v ? 0 : 1;
 }
 
-void AppendU32(std::string* out, std::uint32_t x) {
-  out->append(reinterpret_cast<const char*>(&x), sizeof(x));
-}
+/// Signature of a connected 2-edge subgraph: both edge types (src label,
+/// dst label, edge label, self-loop flag), the number of shared vertices,
+/// then one (label, role in the first edge, role in the second)
+/// descriptor per shared vertex, sorted. A one-vertex wedge leaves the
+/// last three words zero; the count word keeps it distinct.
+using WedgeKey = std::array<std::uint32_t, 15>;
 
-/// Serializes the adjacent edge pair (first, second) of `g` in that edge
-/// order: both edge types, then the shared-vertex descriptors (label,
-/// role in first, role in second), sorted. Works on any graph type with
-/// edge(e) and vertex_label(v) — LabeledGraph for candidate patterns,
-/// GraphView for transactions read through a TransactionSource.
+struct WedgeKeyHash {
+  std::size_t operator()(const WedgeKey& k) const {
+    std::uint64_t h = 0x9e3779b97f4a7c15ULL;
+    for (const std::uint32_t w : k) {
+      h = (h ^ w) * 0xff51afd7ed558ccdULL;
+      h ^= h >> 32;
+    }
+    return static_cast<std::size_t>(h);
+  }
+};
+
+/// The wedge key of (first, second) in that edge order.
 template <typename G>
-void AppendWedgeOrdering(const G& g, EdgeId first, EdgeId second,
-                         std::string* out) {
-  out->clear();
+WedgeKey WedgeOrdering(const G& g, EdgeId first, EdgeId second) {
   const Edge& a = g.edge(first);
   const Edge& b = g.edge(second);
+  WedgeKey key{};
+  std::size_t w = 0;
   for (const Edge* e : {&a, &b}) {
-    AppendU32(out, static_cast<std::uint32_t>(g.vertex_label(e->src)));
-    AppendU32(out, static_cast<std::uint32_t>(g.vertex_label(e->dst)));
-    AppendU32(out, static_cast<std::uint32_t>(e->label));
-    AppendU32(out, e->src == e->dst ? 1 : 0);
+    const EdgeTypeKey t = TypeOf(g, *e);
+    key[w++] = static_cast<std::uint32_t>(t.src_label);
+    key[w++] = static_cast<std::uint32_t>(t.dst_label);
+    key[w++] = static_cast<std::uint32_t>(t.edge_label);
+    key[w++] = t.self_loop ? 1 : 0;
   }
-  std::array<std::array<std::uint32_t, 3>, 2> desc;
+  std::array<std::array<std::uint32_t, 3>, 2> desc{};
   std::size_t n = 0;
   const VertexId ends[2] = {a.src, a.dst};
   for (int i = 0; i < (a.src == a.dst ? 1 : 2); ++i) {
@@ -112,26 +123,66 @@ void AppendWedgeOrdering(const G& g, EdgeId first, EdgeId second,
     }
   }
   if (n == 2 && desc[1] < desc[0]) std::swap(desc[0], desc[1]);
-  AppendU32(out, static_cast<std::uint32_t>(n));
-  for (std::size_t i = 0; i < n; ++i) {
-    for (const std::uint32_t x : desc[i]) AppendU32(out, x);
+  key[w++] = static_cast<std::uint32_t>(n);
+  for (const auto& d : desc) {
+    for (const std::uint32_t x : d) key[w++] = x;
   }
+  return key;
 }
 
 /// Canonical signature of the connected 2-edge subgraph {e1, e2} (the
 /// edges must share at least one vertex): two such subgraphs get equal
-/// signatures iff they are isomorphic. The two edge orderings are
-/// serialized into the caller's buffers and the lexicographic minimum is
-/// returned (covers the swap ambiguity when both edges have the same
-/// type). This is what makes exact level-2 support counting from the
+/// signatures iff they are isomorphic. The smaller of the two edge
+/// orderings covers the swap ambiguity when both edges have the same
+/// type. This is what makes exact level-2 support counting from the
 /// per-transaction wedge index possible — see DESIGN.md §12.
 template <typename G>
-const std::string& WedgeSignature(const G& g, EdgeId e1, EdgeId e2,
-                                  std::string* buf_a, std::string* buf_b) {
-  AppendWedgeOrdering(g, e1, e2, buf_a);
-  AppendWedgeOrdering(g, e2, e1, buf_b);
-  return *buf_a < *buf_b ? *buf_a : *buf_b;
+WedgeKey WedgeSignature(const G& g, EdgeId e1, EdgeId e2) {
+  return std::min(WedgeOrdering(g, e1, e2), WedgeOrdering(g, e2, e1));
 }
+
+/// One level-1 TID index, gathered one shard at a time: each shard's
+/// lists hold shard-local ids and are spliced into the global sets with
+/// TidSet::SpliceUnion at the shard's base. Shards arrive in ascending
+/// base order, so every splice takes the pure append path and the sets
+/// come out identical to a flat single-pass build at any shard cut.
+template <typename Key>
+class ShardedTidIndex {
+ public:
+  using Frozen = std::map<Key, std::shared_ptr<const TidSet>>;
+
+  /// Records shard-local transaction `tid` under `key`; per key, tids
+  /// arrive ascending and at most once.
+  void Add(const Key& key, std::uint32_t tid) { local_[key].push_back(tid); }
+
+  /// Splices the current shard's lists in at `base` and starts a new one.
+  void EndShard(std::uint32_t base, std::uint32_t size) {
+    for (auto& [key, tids] : local_) {
+      sets_[key].SpliceUnion(TidSet::FromSorted(std::move(tids), size), base);
+    }
+    local_.clear();
+  }
+
+  /// The finished sets, each rebuilt through FromSorted so its universe
+  /// is the full transaction count and its heap footprint a deterministic
+  /// function of its contents, shard cut notwithstanding. `*bytes` grows
+  /// by every set's footprint.
+  Frozen Freeze(std::uint32_t universe, std::uint64_t* bytes) {
+    Frozen frozen;
+    for (auto& [key, set] : sets_) {
+      auto fixed = std::make_shared<const TidSet>(
+          TidSet::FromSorted(set.ToVector(), universe));
+      *bytes += fixed->MemoryBytes();
+      frozen.emplace_hint(frozen.end(), key, std::move(fixed));
+    }
+    sets_.clear();
+    return frozen;
+  }
+
+ private:
+  std::map<Key, std::vector<std::uint32_t>> local_;
+  std::map<Key, TidSet> sets_;
+};
 
 /// Exact isomorphism test for the tiny dense pattern graphs extension
 /// dedup compares: tries every label-respecting vertex bijection and
@@ -213,183 +264,141 @@ FsgResult MineFsg(graph::TransactionSource& source,
 
   // ---------------------------------------------------------------------
   // Level 1: frequent single-edge patterns by direct counting, gathered
-  // one shard at a time: each shard accumulates shard-local TID lists
-  // (ids relative to the shard base) which are then spliced into the
-  // global sets with TidSet::SpliceUnion at the shard's base. Shards are
-  // visited in ascending base order, so every splice takes the pure
-  // append path and the global sets come out identical to a flat
-  // single-pass build — at any shard cut. A budget stop here returns an
+  // one shard at a time (ShardedTidIndex). A budget stop here returns an
   // empty (but honest) result: partially counted level-1 supports would
   // under-report and cannot be emitted as frequent.
-  std::map<std::pair<EdgeType, bool>, TidSet> edge_sets;
+  //
+  // The level-1 index lives for the whole mine: every observed edge
+  // type's TID set (frequent or not) is retained so candidate generation
+  // can intersect a join parent's set with the added edge type's set — a
+  // necessary containment condition that shrinks the feasible set before
+  // any VF2 call (DESIGN.md §12).
+  ShardedTidIndex<EdgeTypeKey>::Frozen type_tids;
   // Transactions with at least k (2 <= k <= kMaxTypeMult) edges of a
   // type: a candidate using a type m > 1 times can only live where the
   // type occurs >= m times, and these sets are far smaller than the
   // plain presence sets. Capped at kMaxTypeMult (higher multiplicities
   // fall back to the >= kMaxTypeMult set — weaker but still exact).
   constexpr std::uint32_t kMaxTypeMult = 4;
-  std::map<std::tuple<EdgeType, bool, std::uint32_t>, TidSet> mult_sets;
+  using MultKey = std::pair<EdgeTypeKey, std::uint32_t>;
+  ShardedTidIndex<MultKey>::Frozen mult_tids;
   // Wedge index: for every adjacent edge pair of every transaction, the
   // pair's canonical signature is recorded once per transaction. Because
   // the signature identifies a connected 2-edge pattern up to
   // isomorphism, a signature's TID list is the exact support set of that
   // pattern — level 2 is counted from this index with no VF2 at all.
-  std::map<std::string, TidSet> wedge_sets;
-  // Shard-local scratch, cleared per shard.
-  std::map<std::pair<EdgeType, bool>, std::vector<std::uint32_t>> local_edge;
-  std::map<std::tuple<EdgeType, bool, std::uint32_t>,
-           std::vector<std::uint32_t>>
-      local_mult;
-  std::map<std::string, std::vector<std::uint32_t>> local_wedge;
-  std::vector<std::vector<EdgeId>> incident;
-  std::unordered_set<std::string> txn_sigs;
-  std::string sig_a;
-  std::string sig_b;
-  common::MiningOutcome level1_stop = common::MiningOutcome::kComplete;
-  try {
-    for (std::size_t s = 0; s < source.num_shards(); ++s) {
-      const graph::ShardRef shard = source.Pin(s);
-      const auto shard_size = static_cast<std::uint32_t>(shard.views.size());
-      local_edge.clear();
-      local_mult.clear();
-      local_wedge.clear();
-      for (std::uint32_t i = 0; i < shard_size; ++i) {
-        const graph::GraphView& t = shard.views[i];
-        level1_stop = meter.Charge(1 + t.num_edges());
-        if (level1_stop != common::MiningOutcome::kComplete) break;
-        // The view's edge-type index is exactly the distinct live edge
-        // types of the transaction in sorted-key order, and each type's
-        // edge list length is its multiplicity — the per-transaction
-        // std::map the in-RAM build used produced the same sequence.
-        for (std::size_t type = 0; type < t.NumEdgeTypes(); ++type) {
-          const graph::GraphView::EdgeTypeKey& key = t.EdgeTypeAt(type);
-          const EdgeType et{key.src_label, key.dst_label, key.edge_label};
-          local_edge[{et, key.self_loop}].push_back(i);
-          const auto count =
-              static_cast<std::uint32_t>(t.EdgesOfType(type).size());
-          for (std::uint32_t k = 2; k <= std::min(count, kMaxTypeMult); ++k) {
-            local_mult[{et, key.self_loop, k}].push_back(i);
+  ShardedTidIndex<WedgeKey>::Frozen wedge_tids;
+  // Heap bytes of the three indexes (of the keys, wedge keys only).
+  std::uint64_t type_index_bytes = 0;
+  {
+    TNMINE_TRACE_SPAN("fsg/level1");
+    ShardedTidIndex<EdgeTypeKey> type_index;
+    ShardedTidIndex<MultKey> mult_index;
+    ShardedTidIndex<WedgeKey> wedge_index;
+    std::unordered_set<WedgeKey, WedgeKeyHash> txn_sigs;
+    std::uint64_t wedge_pairs = 0;
+    common::MiningOutcome level1_stop = common::MiningOutcome::kComplete;
+    try {
+      for (std::size_t s = 0; s < source.num_shards(); ++s) {
+        const graph::ShardRef shard = source.Pin(s);
+        const auto shard_size =
+            static_cast<std::uint32_t>(shard.views.size());
+        for (std::uint32_t i = 0; i < shard_size; ++i) {
+          const graph::GraphView& t = shard.views[i];
+          level1_stop = meter.Charge(1 + t.num_edges());
+          if (level1_stop != common::MiningOutcome::kComplete) break;
+          // The view's edge-type index is exactly the distinct live edge
+          // types of the transaction in key order, and each type's edge
+          // list length is its multiplicity.
+          for (std::size_t type = 0; type < t.NumEdgeTypes(); ++type) {
+            const EdgeTypeKey& key = t.EdgeTypeAt(type);
+            type_index.Add(key, i);
+            const std::size_t count = std::min<std::size_t>(
+                t.EdgesOfType(type).size(), kMaxTypeMult);
+            for (std::uint32_t k = 2; k <= count; ++k) {
+              mult_index.Add({key, k}, i);
+            }
           }
-        }
-        if (incident.size() < t.num_vertices()) {
-          incident.resize(t.num_vertices());
-        }
-        for (VertexId v = 0; v < t.num_vertices(); ++v) incident[v].clear();
-        for (EdgeId e = 0; e < t.edge_capacity(); ++e) {
-          if (!t.edge_alive(e)) continue;
-          const Edge& edge = t.edge(e);
-          incident[edge.src].push_back(e);
-          if (edge.dst != edge.src) incident[edge.dst].push_back(e);
-        }
-        // Every adjacent pair is visited at each shared vertex; pairs
-        // sharing two vertices come up twice and the per-transaction
-        // signature set collapses the duplicates (presence is all the
-        // index stores).
-        txn_sigs.clear();
-        for (VertexId v = 0; v < t.num_vertices(); ++v) {
-          const std::vector<EdgeId>& at_v = incident[v];
-          for (std::size_t a = 0; a + 1 < at_v.size(); ++a) {
-            for (std::size_t b = a + 1; b < at_v.size(); ++b) {
-              const std::string& sig =
-                  WedgeSignature(t, at_v[a], at_v[b], &sig_a, &sig_b);
-              if (txn_sigs.insert(sig).second) {
-                local_wedge[sig].push_back(i);
+          // Every adjacent pair is visited at each shared vertex; pairs
+          // sharing two vertices come up twice and the per-transaction
+          // signature set collapses the duplicates (presence is all the
+          // index stores).
+          txn_sigs.clear();
+          auto add_pair = [&](EdgeId x, EdgeId y) {
+            ++wedge_pairs;
+            const WedgeKey sig = WedgeSignature(t, x, y);
+            if (txn_sigs.insert(sig).second) wedge_index.Add(sig, i);
+          };
+          for (VertexId v = 0; v < t.num_vertices(); ++v) {
+            // The edges at v: its out-edges, then its in-edges bar the
+            // self-loops (src == v), which the out-edges already hold.
+            const std::span<const EdgeId> out = t.OutEdgesById(v);
+            const std::span<const EdgeId> in = t.InEdgesById(v);
+            for (std::size_t a = 0; a < out.size(); ++a) {
+              for (std::size_t b = a + 1; b < out.size(); ++b) {
+                add_pair(out[a], out[b]);
+              }
+              for (const EdgeId y : in) {
+                if (t.edge(y).src != v) add_pair(out[a], y);
+              }
+            }
+            for (std::size_t a = 0; a < in.size(); ++a) {
+              if (t.edge(in[a]).src == v) continue;
+              for (std::size_t b = a + 1; b < in.size(); ++b) {
+                if (t.edge(in[b]).src != v) add_pair(in[a], in[b]);
               }
             }
           }
         }
+        if (level1_stop != common::MiningOutcome::kComplete) break;
+        type_index.EndShard(shard.base, shard_size);
+        mult_index.EndShard(shard.base, shard_size);
+        wedge_index.EndShard(shard.base, shard_size);
       }
-      if (level1_stop != common::MiningOutcome::kComplete) break;
-      // Merge this shard's lists into the global sets at the shard base.
-      for (auto& [key, tids] : local_edge) {
-        edge_sets[key].SpliceUnion(
-            TidSet::FromSorted(std::move(tids), shard_size), shard.base);
-      }
-      for (auto& [key, tids] : local_mult) {
-        mult_sets[key].SpliceUnion(
-            TidSet::FromSorted(std::move(tids), shard_size), shard.base);
-      }
-      for (auto& [sig, tids] : local_wedge) {
-        wedge_sets[sig].SpliceUnion(
-            TidSet::FromSorted(std::move(tids), shard_size), shard.base);
-      }
+    } catch (const std::bad_alloc&) {
+      // A shard pin that could not fit the memory ceiling even after
+      // evicting everything else. Level 1 is incomplete, so nothing can
+      // be emitted honestly.
+      level1_stop = common::MiningOutcome::kMemoryBudgetExceeded;
     }
-  } catch (const std::bad_alloc&) {
-    // A shard pin that could not fit the memory ceiling even after
-    // evicting everything else. Level 1 is incomplete, so nothing can be
-    // emitted honestly.
-    level1_stop = common::MiningOutcome::kMemoryBudgetExceeded;
-    result.aborted_out_of_memory = true;
+    TNMINE_COUNTER_ADD("fsg/wedge_pairs", wedge_pairs);
+    if (level1_stop != common::MiningOutcome::kComplete) {
+      result.outcome = level1_stop;
+      result.work_ticks = meter.ticks_spent();
+      common::RecordOutcome("fsg", result.outcome);
+      return result;
+    }
+    type_tids = type_index.Freeze(universe, &type_index_bytes);
+    mult_tids = mult_index.Freeze(universe, &type_index_bytes);
+    wedge_tids = wedge_index.Freeze(universe, &type_index_bytes);
+    type_index_bytes += wedge_tids.size() * sizeof(WedgeKey);
   }
-  if (level1_stop != common::MiningOutcome::kComplete) {
-    result.outcome = level1_stop;
-    result.work_ticks = meter.ticks_spent();
-    common::RecordOutcome("fsg", result.outcome);
-    return result;
-  }
-  // The level-1 index lives for the whole mine: every observed edge
-  // type's TID set (frequent or not) is retained so candidate generation
-  // can intersect a join parent's set with the added edge type's set — a
-  // necessary containment condition that shrinks the feasible set before
-  // any VF2 call (DESIGN.md §12). Rebuilding each accumulated set through
-  // FromSorted pins its universe to the full transaction count and its
-  // heap footprint to a deterministic function of its contents, shard cut
-  // notwithstanding.
-  std::map<std::pair<EdgeType, bool>, std::shared_ptr<const TidSet>>
-      type_tids;
-  for (auto& [key, set] : edge_sets) {
-    type_tids.emplace(key, std::make_shared<const TidSet>(TidSet::FromSorted(
-                               set.ToVector(), universe)));
-  }
-  edge_sets.clear();
-  std::map<std::tuple<EdgeType, bool, std::uint32_t>,
-           std::shared_ptr<const TidSet>>
-      mult_tids;
-  for (auto& [key, set] : mult_sets) {
-    mult_tids.emplace(key, std::make_shared<const TidSet>(TidSet::FromSorted(
-                               set.ToVector(), universe)));
-  }
-  mult_sets.clear();
-  std::map<std::string, std::shared_ptr<const TidSet>> wedge_tids;
-  for (auto& [sig, set] : wedge_sets) {
-    wedge_tids.emplace(sig, std::make_shared<const TidSet>(TidSet::FromSorted(
-                                set.ToVector(), universe)));
-  }
-  wedge_sets.clear();
   const auto empty_tids = std::make_shared<const TidSet>();
   result.candidates_per_level.push_back(type_tids.size());
 
   std::vector<FrequentPattern> frontier;
-  std::vector<EdgeType> frequent_edges;  // for extension generation
-  std::set<EdgeType> frequent_edge_set;
-  for (const auto& [key, set] : type_tids) {
+  // Frequent edge types for extension generation, self-loop flag
+  // cleared: an extension may place a type's edge between distinct
+  // vertices or on one.
+  std::vector<EdgeTypeKey> frequent_edges;
+  for (const auto& [type, set] : type_tids) {
     if (set->Cardinality() < options.min_support) continue;
-    const auto& [type, self_loop] = key;
     FrequentPattern p;
-    p.graph = OneEdgePattern(type, self_loop);
+    p.graph = OneEdgePattern(type);
     p.tids = *set;
     p.support = p.tids.Cardinality();
     p.code = iso::CanonicalCodeCached(p.graph);
     frontier.push_back(std::move(p));
-    if (frequent_edge_set.insert(type).second) {
-      frequent_edges.push_back(type);
+    EdgeTypeKey labels = type;
+    labels.self_loop = false;
+    if (frequent_edges.empty() || frequent_edges.back() != labels) {
+      frequent_edges.push_back(labels);
     }
   }
   result.frequent_per_level.push_back(frontier.size());
   result.levels_completed = 1;
   TNMINE_COUNTER_ADD("fsg/candidates_generated", type_tids.size());
   TNMINE_COUNTER_ADD("fsg/patterns_frequent", frontier.size());
-
-  std::uint64_t type_index_bytes = 0;
-  for (const auto& [key, set] : type_tids) {
-    type_index_bytes += set->MemoryBytes();
-  }
-  for (const auto& [key, set] : mult_tids) {
-    type_index_bytes += set->MemoryBytes();
-  }
-  for (const auto& [sig, set] : wedge_tids) {
-    type_index_bytes += sig.size() + set->MemoryBytes();
-  }
 
   // TID sets of all frequent patterns at the previous level, keyed by
   // canonical code. Serves the downward-closure prune (membership) and
@@ -401,20 +410,17 @@ FsgResult MineFsg(graph::TransactionSource& source,
   // When the previous level holds 2-edge patterns, the same sets keyed
   // by wedge signature: 3-edge extensions then run their closure checks
   // without building sub-graphs or canonical codes.
-  std::unordered_map<std::string, std::shared_ptr<const TidSet>>
+  std::unordered_map<WedgeKey, std::shared_ptr<const TidSet>, WedgeKeyHash>
       previous_level_sigs;
   auto rebuild_previous = [&](const std::vector<FrequentPattern>& fr) {
     previous_level_tids.clear();
     previous_level_sigs.clear();
-    std::string buf_a;
-    std::string buf_b;
     for (const FrequentPattern& p : fr) {
       auto set = std::make_shared<const TidSet>(p.tids);
       previous_level_tids.emplace(p.code, set);
       if (p.graph.num_edges() == 2) {
         previous_level_sigs.emplace(
-            WedgeSignature(p.graph, EdgeId{0}, EdgeId{1}, &buf_a, &buf_b),
-            std::move(set));
+            WedgeSignature(p.graph, EdgeId{0}, EdgeId{1}), std::move(set));
       }
     }
   };
@@ -459,13 +465,16 @@ FsgResult MineFsg(graph::TransactionSource& source,
     // Isomorphism classes of 2-edge extensions already seen this level,
     // keyed by wedge signature; dedup happens here so duplicates never
     // reach the canonical-code cache.
-    std::unordered_set<std::string> level2_seen;
+    std::unordered_set<WedgeKey, WedgeKeyHash> level2_seen;
     // Same idea for 3+ edge extensions: representatives of the classes
     // already considered, bucketed by invariant hash.
     std::unordered_map<std::uint64_t, std::vector<LabeledGraph>> ext_classes;
     std::uint64_t candidate_bytes = 0;
     bool oom = false;
     common::MiningOutcome level_outcome = common::MiningOutcome::kComplete;
+    auto stopped = [&] {
+      return oom || level_outcome != common::MiningOutcome::kComplete;
+    };
     // Bytes charged against the shared memory ceiling for this level's
     // candidate set, released when the level's scope ends (break or not).
     std::uint64_t level_charged = 0;
@@ -484,25 +493,21 @@ FsgResult MineFsg(graph::TransactionSource& source,
     try {
       TNMINE_TRACE_SPAN("fsg/generate");
       for (const FrequentPattern& parent : frontier) {
-        if (oom || level_outcome != common::MiningOutcome::kComplete) break;
+        if (stopped()) break;
         const LabeledGraph& pg = parent.graph;
         // Lazily created shared copy of the parent's TID set, handed to
         // every candidate whose feasibility intersection removes nothing
         // (charged against the memory budget once, not per candidate).
         std::shared_ptr<const TidSet> parent_shared;
         std::vector<std::shared_ptr<const TidSet>> sub_sets;
-        std::map<std::pair<EdgeType, bool>, std::uint32_t> cand_type_counts;
-        std::string sig_a;
-        std::string sig_b;
-        std::string parent_sig;
+        std::map<EdgeTypeKey, std::uint32_t> cand_type_counts;
+        WedgeKey parent_sig{};
         if (pg.num_edges() == 2) {
-          parent_sig = WedgeSignature(pg, EdgeId{0}, EdgeId{1}, &sig_a, &sig_b);
+          parent_sig = WedgeSignature(pg, EdgeId{0}, EdgeId{1});
         }
-        auto consider = [&](LabeledGraph&& extended, const EdgeType& t,
-                            bool self_loop) {
-          if (oom || level_outcome != common::MiningOutcome::kComplete) {
-            return;
-          }
+        // `extended` is the parent plus one edge, appended last.
+        auto consider = [&](LabeledGraph&& extended) {
+          if (stopped()) return;
           (void)TNMINE_FAILPOINT("fsg/consider");
           ++extensions_considered;
           // One tick per extension plus one per edge covers the canonical
@@ -529,14 +534,10 @@ FsgResult MineFsg(graph::TransactionSource& source,
             // whole downward-closure check; and the signature's TID set
             // is the exact support set, inside the parent's by
             // anti-monotonicity (DESIGN.md §12).
-            const std::string& sig = WedgeSignature(
-                extended, EdgeId{0}, EdgeId{1}, &sig_a, &sig_b);
+            const WedgeKey sig = WedgeSignature(extended, EdgeId{0}, EdgeId{1});
             if (!level2_seen.insert(sig).second) return;  // isomorphic dup
-            const Edge& kept = extended.edge(EdgeId{0});
-            const auto kept_it = type_tids.find(
-                {EdgeType{extended.vertex_label(kept.src),
-                          extended.vertex_label(kept.dst), kept.label},
-                 kept.src == kept.dst});
+            const auto kept_it =
+                type_tids.find(TypeOf(extended, extended.edge(EdgeId{0})));
             if (kept_it == type_tids.end() ||
                 kept_it->second->Cardinality() < options.min_support) {
               ++pruned_closure;
@@ -596,8 +597,8 @@ FsgResult MineFsg(graph::TransactionSource& source,
                     ex.dst != ey.src && ex.dst != ey.dst) {
                   continue;  // disconnected sub: not checkable
                 }
-                const std::string& sub_sig = WedgeSignature(
-                    extended, rest[0], rest[1], &sig_a, &sig_b);
+                const WedgeKey sub_sig =
+                    WedgeSignature(extended, rest[0], rest[1]);
                 const auto sub_it = previous_level_sigs.find(sub_sig);
                 if (sub_it == previous_level_sigs.end()) {
                   prunable = true;
@@ -639,7 +640,8 @@ FsgResult MineFsg(graph::TransactionSource& source,
             // the candidate maps the added edge to an edge of identical
             // type — so this only removes transactions that cannot
             // support the candidate; VF2 counting below stays exact.
-            const auto type_it = type_tids.find({t, self_loop});
+            const auto type_it =
+                type_tids.find(TypeOf(extended, extended.edge(added)));
             if (type_it == type_tids.end()) {
               // The added edge type never occurs: trivially infrequent.
               feasible = empty_tids;
@@ -652,16 +654,12 @@ FsgResult MineFsg(graph::TransactionSource& source,
               // occurrences in the transaction.
               cand_type_counts.clear();
               extended.ForEachEdge([&](EdgeId e) {
-                const Edge& edge = extended.edge(e);
-                ++cand_type_counts[{
-                    EdgeType{extended.vertex_label(edge.src),
-                             extended.vertex_label(edge.dst), edge.label},
-                    edge.src == edge.dst}];
+                ++cand_type_counts[TypeOf(extended, extended.edge(e))];
               });
               for (const auto& [key, m] : cand_type_counts) {
                 if (m < 2 || feas.Empty()) continue;
-                const auto mult_it = mult_tids.find(
-                    {key.first, key.second, std::min(m, kMaxTypeMult)});
+                const auto mult_it =
+                    mult_tids.find({key, std::min(m, kMaxTypeMult)});
                 if (mult_it == mult_tids.end()) {
                   feas.Clear();
                   break;
@@ -707,14 +705,14 @@ FsgResult MineFsg(graph::TransactionSource& source,
 
         for (VertexId u = 0; u < pg.num_vertices(); ++u) {
           const Label lu = pg.vertex_label(u);
-          for (const EdgeType& t : frequent_edges) {
+          for (const EdgeTypeKey& t : frequent_edges) {
             if (t.src_label == lu) {
               // u -> new vertex.
               {
                 LabeledGraph ext = pg;
                 const VertexId w = ext.AddVertex(t.dst_label);
                 ext.AddEdge(u, w, t.edge_label);
-                consider(std::move(ext), t, /*self_loop=*/false);
+                consider(std::move(ext));
               }
               // u -> existing vertex (including self-loop when labels
               // allow).
@@ -722,7 +720,7 @@ FsgResult MineFsg(graph::TransactionSource& source,
                 if (pg.vertex_label(w) != t.dst_label) continue;
                 LabeledGraph ext = pg;
                 ext.AddEdge(u, w, t.edge_label);
-                consider(std::move(ext), t, /*self_loop=*/w == u);
+                consider(std::move(ext));
               }
             }
             if (t.dst_label == lu) {
@@ -731,15 +729,11 @@ FsgResult MineFsg(graph::TransactionSource& source,
               LabeledGraph ext = pg;
               const VertexId w = ext.AddVertex(t.src_label);
               ext.AddEdge(w, u, t.edge_label);
-              consider(std::move(ext), t, /*self_loop=*/false);
+              consider(std::move(ext));
             }
-            if (oom || level_outcome != common::MiningOutcome::kComplete) {
-              break;
-            }
+            if (stopped()) break;
           }
-          if (oom || level_outcome != common::MiningOutcome::kComplete) {
-            break;
-          }
+          if (stopped()) break;
         }
       }
     } catch (const std::bad_alloc&) {
@@ -753,7 +747,6 @@ FsgResult MineFsg(graph::TransactionSource& source,
     TNMINE_COUNTER_ADD("fsg/feasible_pruned_by_join", pruned_by_join);
     TNMINE_COUNTER_ADD("fsg/candidates_generated", candidates.size());
     if (oom) {
-      result.aborted_out_of_memory = true;
       result.outcome = common::CombineOutcomes(
           result.outcome, common::MiningOutcome::kMemoryBudgetExceeded);
       break;

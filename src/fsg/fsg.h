@@ -28,8 +28,9 @@ struct FsgOptions {
   std::size_t max_edges = 0;
   /// Candidate-memory budget in bytes (0 = unlimited). When the estimated
   /// footprint of a level's candidate set exceeds the budget, mining
-  /// aborts and the result is flagged — reproducing the out-of-memory
-  /// failures the paper hit on its 1 GB Sparc (Sections 6.1 and 8).
+  /// stops with outcome kMemoryBudgetExceeded — reproducing the
+  /// out-of-memory failures the paper hit on its 1 GB Sparc (Sections 6.1
+  /// and 8).
   std::uint64_t max_candidate_bytes = 0;
   /// Per-containment-check VF2 step budget (0 = unlimited); a safety valve
   /// for pathological transactions.
@@ -50,8 +51,6 @@ struct FsgOptions {
 /// Mining outcome with level-wise diagnostics.
 struct FsgResult {
   std::vector<pattern::FrequentPattern> patterns;
-  /// True when the candidate-memory budget aborted the run.
-  bool aborted_out_of_memory = false;
   /// Number of completed levels (max pattern size reached, in edges).
   std::size_t levels_completed = 0;
   /// Candidates generated per level (index 0 = 1-edge patterns; for level

@@ -29,13 +29,13 @@
 // cancels cooperatively through the same mechanism instead of killing
 // the process.
 //
-// Examples:
+// Examples (an indented line continues the command above it):
 //   tnmine_cli generate --out /tmp/data.csv --scale small --seed 7
-//   tnmine_cli structural --data /tmp/data.csv --strategy bf --k 40 \
+//   tnmine_cli structural --data /tmp/data.csv --strategy bf --k 40
 //       --support 12 --top 3 --dot /tmp/patterns
 //   tnmine_cli temporal --data /tmp/data.csv --support-fraction 0.05
 //   tnmine_cli episodes --data /tmp/data.csv --min-occurrences 5
-//   tnmine_cli structural --data /tmp/data.csv --miner gspan \
+//   tnmine_cli structural --data /tmp/data.csv --miner gspan
 //       --metrics-out report.json --trace-out trace.json
 
 #include <algorithm>
@@ -393,10 +393,11 @@ int CmdExport(const Flags& flags) {
   return 0;
 }
 
-/// `client` — one request to a running tnmined (DESIGN.md §14).
+/// `client` — one request to a running tnmined (DESIGN.md §14). In the
+/// examples an indented line continues the command above it.
 ///
 ///   tnmine_cli client --connect unix:/tmp/tnmined.sock --op stats
-///   tnmine_cli client --connect tcp:127.0.0.1:7077 --op structural \
+///   tnmine_cli client --connect tcp:127.0.0.1:7077 --op structural
 ///       --miner gspan --support 10 --top 3
 ///
 /// Mining flags mirror the local subcommands (dashes become underscores
